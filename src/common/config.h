@@ -176,20 +176,14 @@ struct ClusterConfig {
 /// are sharded across workers (disjoint ownership, no locks on the hot
 /// path) and match emission is merged in deterministic (group-id, seq)
 /// order, so the produced output is byte-identical for any worker count.
+/// There is one execution path: the pool forks and joins each pass over a
+/// mutex/condvar barrier, and in-process hubs use mutex/condvar mailboxes.
 struct SlaveConfig {
   /// Worker threads per slave for the batch-join pass. 1 (default) keeps
   /// the paper's single-threaded slave, bit-identical to the serial code
   /// path; k > 1 advances the slave's virtual clock by the critical path
   /// max(worker costs) + merge cost instead of the serial sum.
   std::uint32_t workers = 1;
-
-  /// Wall-clock throughput mode (DESIGN.md "Wall-clock execution mode"):
-  /// the worker pool switches from condvar fork/join to a sense-reversing
-  /// spin barrier with CPU-pinned workers (SJOIN_PIN_CPUS), and in-process
-  /// hubs built from this config use the lock-free MPSC mailbox. Purely an
-  /// execution-engine switch -- the join output is byte-identical to the
-  /// default mode for any worker count (worker_chaos_test asserts it).
-  bool wall_mode = false;
 };
 
 /// Transport selection for the multi-process deployment (launchers that

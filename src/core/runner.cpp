@@ -1525,11 +1525,8 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   // serial). Only the join thread calls ProcessFor, and RunOnAll is a
   // barrier, so checkpoint sweeps / migrations on this thread always see a
   // quiesced pool. The pool must outlive every ProcessFor call; it is
-  // destroyed after the work loop exits. Wall mode swaps the condvar
-  // fork/join for the spin barrier + CPU pinning (output-identical).
-  WorkerPool pool(cfg.slave.workers,
-                  WorkerPoolOptions{cfg.slave.wall_mode, cfg.slave.wall_mode});
-  if (cfg.slave.wall_mode) pool.PinCaller();
+  // destroyed after the work loop exits.
+  WorkerPool pool(cfg.slave.workers);
   join.SetWorkerPool(&pool);
   if (cfg.replication.enabled) join.EnableCheckpointJournal();
   SlaveSummary sum;

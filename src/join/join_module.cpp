@@ -38,10 +38,6 @@ void JoinModule::SetWorkerPool(WorkerPool* pool) {
     // per-pass parameters travel through pass_* members instead.
     pass_job_ = [this](std::uint32_t w) {
       RunWorker(w, pass_workers_, pass_from_, pass_budget_);
-      if (pass_gather_) {
-        lane_done_.Push(w);
-        if (w == 0) GatherLaneRefs(pass_workers_);
-      }
     };
   }
   EnsureWorkerObs();
@@ -117,16 +113,10 @@ Duration JoinModule::ProcessParallel(Time from, Duration budget) {
   }
   buffer_.clear();
 
-  // Fan out through the pre-built pass job (no per-batch allocation). Spin
-  // pools additionally overlap the merge-ref gather with lane execution:
-  // each lane announces completion on the lock-free lane_done_ queue and
-  // worker 0 (this thread) stages finished lanes while slower ones still
-  // run, so by the time the barrier opens the refs are already gathered.
+  // Fan out through the pre-built pass job (no per-batch allocation).
   pass_from_ = from;
   pass_budget_ = budget;
   pass_workers_ = k;
-  pass_gather_ = pool_->Options().spin;
-  merge_refs_.clear();
   pool_->RunOnAll(pass_job_);
 
   // Re-queue unprocessed leftovers in arrival order: budget exhaustion left
@@ -147,12 +137,10 @@ Duration JoinModule::ProcessParallel(Time from, Duration budget) {
 
   // Deterministic merge: emissions ordered by (group-id, seq). Entries of
   // one pid all live in one lane (disjoint sharding) already in seq order,
-  // so a stable sort by pid alone realizes the full key -- and makes the
-  // merged output independent of the gather order (lane order below,
-  // completion order in GatherLaneRefs).
-  if (!pass_gather_) {
-    for (const WorkerLane& lane : lanes_) AppendLaneRefs(lane);
-  }
+  // so gathering the lanes in index order and stable-sorting by pid alone
+  // realizes the full key.
+  merge_refs_.clear();
+  for (const WorkerLane& lane : lanes_) AppendLaneRefs(lane);
   std::stable_sort(merge_refs_.begin(), merge_refs_.end(),
                    [](const MergeRef& a, const MergeRef& b) {
                      return a.entry->pid < b.entry->pid;
@@ -218,26 +206,6 @@ void JoinModule::RunWorker(std::uint32_t w, std::uint32_t workers, Time from,
 void JoinModule::AppendLaneRefs(const WorkerLane& lane) {
   for (const StagingSink::Entry& e : lane.staging.Entries()) {
     merge_refs_.push_back(MergeRef{&lane.staging, &e});
-  }
-}
-
-void JoinModule::GatherLaneRefs(std::uint32_t workers) {
-  // Runs on worker 0 (the RunOnAll caller) after its own lane finished.
-  // Every lane -- including 0 -- pushed its index onto lane_done_; popping
-  // `workers` indices therefore consumes exactly this pass's announcements.
-  // The MPSC push/pop pair is the release/acquire edge making the finished
-  // lane's staging buffers visible here before the pool barrier opens.
-  std::uint32_t gathered = 0;
-  SpinWait waiter;
-  while (gathered < workers) {
-    std::uint32_t w;
-    if (!lane_done_.TryPop(w)) {
-      waiter.Pause();
-      continue;
-    }
-    waiter.Reset();
-    AppendLaneRefs(lanes_[w]);
-    ++gathered;
   }
 }
 

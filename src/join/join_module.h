@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/lockfree.h"
 #include "join/sink.h"
 #include "window/state_codec.h"
 #include "window/window_store.h"
@@ -257,13 +256,6 @@ class JoinModule {
   /// Appends every staged entry of `lane` to merge_refs_.
   void AppendLaneRefs(const WorkerLane& lane);
 
-  /// Worker 0's overlap gather (spin pools): pops lane indices off
-  /// lane_done_ as lanes finish and stages their refs while slower lanes
-  /// are still joining. Gather order is completion order, but entries of
-  /// one pid all live in one lane, so the stable sort by pid in
-  /// ProcessParallel makes the merged output independent of it.
-  void GatherLaneRefs(std::uint32_t workers);
-
   /// Runs the batch join pass on one mini-group (probe fresh of each stream
   /// against the opposite sealed records, seal, expire, re-tune). Returns the
   /// charged cost; `work_start` stamps the produced outputs. Re-entrant:
@@ -334,9 +326,7 @@ class JoinModule {
   Time pass_from_ = 0;
   Duration pass_budget_ = 0;
   std::uint32_t pass_workers_ = 0;
-  bool pass_gather_ = false;  ///< lock-free overlap gather this pass?
-  MpscQueue<std::uint32_t> lane_done_;  ///< lanes announce completion
-  std::vector<MergeRef> merge_refs_;    ///< reused merge staging
+  std::vector<MergeRef> merge_refs_;  ///< reused merge staging
 
   std::uint64_t worker_busy_us_ = 0;
   obs::Counter* c_worker_busy_ = nullptr;

@@ -44,7 +44,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU32(cfg.replication.ckpt_interval_epochs);
 
   w.PutU32(cfg.slave.workers);
-  w.PutU8(cfg.slave.wall_mode ? 1 : 0);
 
   const ElasticConfig& el = cfg.cluster.elastic;
   w.PutU8(el.enabled ? 1 : 0);
@@ -123,7 +122,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.replication.ckpt_interval_epochs = r.GetU32();
 
   cfg.slave.workers = r.GetU32();
-  cfg.slave.wall_mode = r.GetU8() != 0;
 
   ElasticConfig& el = cfg.cluster.elastic;
   el.enabled = r.GetU8() != 0;
@@ -147,6 +145,11 @@ SystemConfig DecodeSystemConfig(Reader& r) {
 
   cfg.workload.lambda = r.GetDouble();
   const std::uint32_t phases = r.GetU32();
+  // A corrupt count must fail the decode, not size an allocation: each
+  // phase takes 16 bytes.
+  if (phases > r.Remaining() / 16) {
+    throw DecodeError("rate schedule count exceeds the manifest");
+  }
   cfg.workload.rate_schedule.clear();
   cfg.workload.rate_schedule.reserve(phases);
   for (std::uint32_t i = 0; i < phases; ++i) {
@@ -212,6 +215,9 @@ RecordingManifest DecodeManifest(Reader& r) {
   m.has_input_trace = r.GetU8() != 0;
   if (m.has_input_trace) {
     const std::uint64_t n = r.GetU64();
+    if (n > r.Remaining() / 17) {  // ts, key, stream: 17 bytes per tuple
+      throw DecodeError("input trace count exceeds the manifest");
+    }
     m.input_trace.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       Rec rec;

@@ -43,8 +43,10 @@
 
 namespace sjoin::obs {
 
-// v2: SystemConfig gained slave.wall_mode (u8 after slave.workers).
-inline constexpr std::uint32_t kRecordingSchemaVersion = 2;
+// v2: SystemConfig carried an execution-mode u8 after slave.workers.
+// v3: that byte is gone (one slave execution mode). Older bundles are
+//     refused, not read.
+inline constexpr std::uint32_t kRecordingSchemaVersion = 3;
 inline constexpr char kRecordingMagic[6] = {'S', 'J', 'R', 'E', 'C', '\n'};
 
 /// Peer value recorded for an untargeted Recv()/RecvTimed() timeout or

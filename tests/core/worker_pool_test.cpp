@@ -71,66 +71,6 @@ TEST(WorkerPoolTest, BarrierAndReuseAcrossManyRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Spin-barrier mode (wall-clock execution): same RunOnAll semantics, no
-// condvar on the hot path. These mirror the condvar cases and run under
-// TSan in CI -- the generation/done-counter handshake is the entire
-// synchronization story of the spin pool.
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPoolSpinTest, EveryWorkerRunsExactlyOnce) {
-  WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  ASSERT_TRUE(pool.Options().spin);
-  std::vector<std::atomic<int>> hits(4);
-  pool.RunOnAll([&](std::uint32_t w) { hits[w].fetch_add(1); });
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(hits[w].load(), 1) << "worker " << w;
-  }
-}
-
-TEST(WorkerPoolSpinTest, BarrierAndReuseAcrossManyRounds) {
-  // The sense-reversing handshake must publish each round's writes before
-  // RunOnAll returns, and a reset done-counter must not leak between
-  // rounds; plain (non-atomic) per-worker state catches both under TSan.
-  WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  std::vector<std::uint64_t> per_worker(4, 0);
-  for (int round = 0; round < 200; ++round) {
-    pool.RunOnAll([&](std::uint32_t w) { per_worker[w] += w + 1; });
-  }
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(per_worker[w], 200u * (w + 1));
-  }
-}
-
-TEST(WorkerPoolSpinTest, CallerParticipatesAsWorkerZero) {
-  WorkerPool pool(3, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> zero_on_caller{false};
-  pool.RunOnAll([&](std::uint32_t w) {
-    if (w == 0) zero_on_caller = std::this_thread::get_id() == caller;
-  });
-  EXPECT_TRUE(zero_on_caller.load());
-}
-
-TEST(WorkerPoolSpinTest, IdleDestructionDoesNotHang) {
-  // Destroying a spin pool that never ran a job (and one that did) must
-  // terminate promptly via the stop flag, not wait for a generation bump.
-  { WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false}); }
-  {
-    WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-    pool.RunOnAll([](std::uint32_t) {});
-  }
-  SUCCEED();
-}
-
-TEST(WorkerPoolSpinTest, PinCallerIsNoOpWhenUnpinned) {
-  WorkerPool pool(2, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  pool.PinCaller();  // must not touch affinity when opts.pin is false
-  std::atomic<int> ran{0};
-  pool.RunOnAll([&](std::uint32_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
-}
-
-// ---------------------------------------------------------------------------
 // JoinModule equivalence: the parallel pass must produce the same join.
 // ---------------------------------------------------------------------------
 
@@ -176,13 +116,12 @@ struct PassResult {
 
 /// Feeds `recs` in epoch-sized batches, fully draining after each batch
 /// (the wall runner's schedule), under `workers`.
-PassResult RunPass(const std::vector<Rec>& recs, std::uint32_t workers,
-                   bool spin = false) {
+PassResult RunPass(const std::vector<Rec>& recs, std::uint32_t workers) {
   SystemConfig cfg = PoolCfg();
   cfg.slave.workers = workers;
   CollectSink sink;
   JoinModule jm(cfg, &sink);
-  WorkerPool pool(workers, WorkerPoolOptions{spin, /*pin=*/false});
+  WorkerPool pool(workers);
   jm.SetWorkerPool(&pool);
   PassResult res;
   const std::size_t kBatch = 100;
@@ -216,25 +155,6 @@ TEST(WorkerPoolJoinTest, ParallelPassMatchesSerialExactly) {
     const Duration merge_bound =
         PoolCfg().cost.MergeCost(serial.outputs) + static_cast<Duration>(1);
     EXPECT_LE(par.cost, serial.cost + merge_bound) << "workers=" << workers;
-  }
-}
-
-TEST(WorkerPoolJoinTest, SpinPoolPassMatchesSerialExactly) {
-  // The spin pool routes the lane->merge handoff through the lock-free
-  // lane_done_ queue (completion-order gather); the output, counters, and
-  // virtual cost must still be byte-identical to the serial pass.
-  const std::vector<Rec> recs = MakeRecs(3000, 11);
-  const PassResult serial = RunPass(recs, 1);
-  for (std::uint32_t workers : {2u, 4u}) {
-    const PassResult spin = RunPass(recs, workers, /*spin=*/true);
-    const PassResult condvar = RunPass(recs, workers, /*spin=*/false);
-    EXPECT_EQ(spin.pairs, serial.pairs) << "workers=" << workers;
-    EXPECT_EQ(spin.outputs, serial.outputs) << "workers=" << workers;
-    EXPECT_EQ(spin.comparisons, serial.comparisons) << "workers=" << workers;
-    EXPECT_EQ(spin.processed, serial.processed) << "workers=" << workers;
-    // Against the condvar pool the *entire* result including the virtual
-    // cost must match: the barrier flavor is invisible to the cost model.
-    EXPECT_EQ(spin.cost, condvar.cost) << "workers=" << workers;
   }
 }
 

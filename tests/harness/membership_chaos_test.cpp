@@ -26,6 +26,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -342,6 +343,11 @@ struct RacingCrashCase {
   SlaveIdx slave;      // its subject
   Rank crash_rank;     // who the fault schedule kills
 };
+
+// Without a printer gtest dumps the param's raw bytes, and ctest embeds that
+// dump in the test's name; the leading `tag` pointer made the name carry
+// ASLR-randomised address bytes. Print the tag instead.
+void PrintTo(const RacingCrashCase& c, std::ostream* os) { *os << c.tag; }
 
 class MembershipRacingCrashTest
     : public ::testing::TestWithParam<RacingCrashCase> {};

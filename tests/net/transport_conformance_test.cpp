@@ -1,7 +1,7 @@
 // Transport-conformance suite: one timeout contract, every implementation
 // (net/transport.h "Timed receives"). The same cases run against the
-// in-process hub in both mailbox modes, real AF_UNIX sockets, and the fault
-// decorator (zero fault probability over inproc), pinning down:
+// in-process hub, real AF_UNIX sockets, and the fault decorator (zero fault
+// probability over inproc), pinning down:
 //   * timeout 0  -- non-blocking poll: delivers already-queued/readable
 //     messages (RecvFromTimed hunts past ineligible senders, stashing
 //     them), else kTimeout without waiting;
@@ -14,9 +14,9 @@
 #include <sys/socket.h>
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,14 +46,14 @@ class World {
 
 class InProcWorld final : public World {
  public:
-  explicit InProcWorld(MailboxMode mode) : hub_(3, mode) {
+  InProcWorld() {
     for (Rank r = 0; r < 3; ++r) eps_.push_back(hub_.Endpoint(r));
   }
   Transport& At(Rank r) override { return *eps_[r]; }
   void Shutdown() override { hub_.Shutdown(); }
 
  private:
-  InProcHub hub_;
+  InProcHub hub_{3};
   std::vector<std::unique_ptr<InProcEndpoint>> eps_;
 };
 
@@ -100,9 +100,13 @@ class FaultWorld final : public World {
   std::vector<std::unique_ptr<FaultEndpoint>> eps_;
 };
 
+// The name is held inline and the factory is a plain function pointer:
+// gtest prints a param without a printer as its raw bytes, and ctest embeds
+// that dump in the test's name. A leading `const char*` made the name carry
+// ASLR-randomised address bytes, so it changed from build to build.
 struct BackendParam {
-  const char* name;
-  std::function<std::unique_ptr<World>()> make;
+  char name[32];
+  std::unique_ptr<World> (*make)();
 };
 
 class TransportConformanceTest : public ::testing::TestWithParam<BackendParam> {
@@ -199,20 +203,12 @@ INSTANTIATE_TEST_SUITE_P(
     AllBackends, TransportConformanceTest,
     ::testing::Values(
         BackendParam{"InProcMutex",
-                     [] {
-                       return std::unique_ptr<World>(
-                           new InProcWorld(MailboxMode::kMutex));
-                     }},
-        BackendParam{"InProcLockFree",
-                     [] {
-                       return std::unique_ptr<World>(
-                           new InProcWorld(MailboxMode::kLockFree));
-                     }},
+                     [] { return std::unique_ptr<World>(new InProcWorld()); }},
         BackendParam{"Socket", [] { return std::unique_ptr<World>(new SocketWorld()); }},
         BackendParam{"FaultOverInProc",
                      [] { return std::unique_ptr<World>(new FaultWorld()); }}),
     [](const ::testing::TestParamInfo<BackendParam>& param_info) {
-      return param_info.param.name;
+      return std::string(param_info.param.name);
     });
 
 }  // namespace

@@ -142,10 +142,44 @@ TEST(RecordingCodecTest, ManifestRejectsWrongSchema) {
   RecordingManifest m;
   Writer w;
   EncodeManifest(w, m);
-  std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
-  bytes[0] = 99;  // schema field is the leading u32
-  Reader r(bytes);
-  EXPECT_THROW((void)DecodeManifest(r), DecodeError);
+  // 2 is the previous schema (it carried an execution-mode byte); no reader
+  // is kept for it.
+  for (const std::uint8_t schema : {std::uint8_t{2}, std::uint8_t{99}}) {
+    std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
+    bytes[0] = schema;  // schema field is the leading u32
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeManifest(r), DecodeError) << "schema " << +schema;
+  }
+}
+
+// A corrupt element count must fail the decode with DecodeError; sizing a
+// reserve() from it threw bad_alloc out of the loader instead.
+TEST(RecordingCodecTest, ManifestRejectsCorruptCounts) {
+  RecordingManifest m;
+  m.cfg.workload.lambda = 321.5;  // the rate-schedule count follows it
+  m.has_input_trace = true;
+  m.input_trace.push_back(Rec{0x5EED5EED5EED, 7, 1});  // count precedes it
+  Writer w;
+  EncodeManifest(w, m);
+  const std::vector<std::uint8_t> good(w.Bytes().begin(), w.Bytes().end());
+  // Byte offset of `value` in the (little-endian) encoding.
+  const auto offset_of = [&good](auto value) {
+    std::uint8_t pat[sizeof(value)];
+    std::memcpy(pat, &value, sizeof(value));
+    const auto it =
+        std::search(good.begin(), good.end(), pat, pat + sizeof(value));
+    EXPECT_NE(it, good.end());
+    return static_cast<std::size_t>(it - good.begin());
+  };
+  const std::size_t phases_at = offset_of(321.5) + sizeof(double);
+  const std::size_t trace_n_at = offset_of(Time{0x5EED5EED5EED}) - 8;
+  for (const auto& [at, width] :
+       {std::pair{phases_at, 4}, std::pair{trace_n_at, 8}}) {
+    std::vector<std::uint8_t> bytes = good;
+    std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(at), width, 0xFF);
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeManifest(r), DecodeError) << "offset " << at;
+  }
 }
 
 TEST(RecordingWriterTest, WriterLoaderRoundTrip) {
