@@ -150,6 +150,9 @@ int main(int argc, char** argv) {
               cfg.cluster.elastic.skew_scale_in_veto);
   std::fflush(stdout);
 
+  // Close the master's sockets before reaping: a slave still waiting on the
+  // master sees EOF only once the master's end is gone.
+  ep.reset();
   for (pid_t pid : children) {
     int status = 0;
     waitpid(pid, &status, 0);

@@ -1223,7 +1223,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // standby's node loop is parked in Recv and exits on it.
   for (Rank s = 1; s <= n; ++s) {
     if (members.Alive(s - 1)) {
-      transport.Send(s, Message{MsgType::kShutdown, 0, {}});
+      transport.Send(s, Message{MsgType::kShutdown, 0, 0, 0, 0, {}});
     }
   }
   sum.wall_stages = obs::SummarizeWallStages(reg);
@@ -1931,7 +1931,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   if (opts.slave_inspect) {
     opts.slave_inspect(self, join, epochs_done);
   }
-  transport.Send(collector, Message{MsgType::kShutdown, 0, {}});
+  transport.Send(collector, Message{MsgType::kShutdown, 0, 0, 0, 0, {}});
   sum.outputs = sink.Outputs();
   sum.worker_busy_cost_us = join.WorkerBusyUs();
   comm.join();

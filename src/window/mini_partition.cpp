@@ -1,18 +1,21 @@
 #include "window/mini_partition.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace sjoin {
 
 MiniPartition::MiniPartition(std::size_t block_capacity)
-    : block_capacity_(block_capacity) {
+    : block_capacity_(block_capacity),
+      // Room for one block's worth of distinct keys at half load: the common
+      // case (a freshly split / freshly created mini-partition) fills at
+      // least a head block before tuning reshapes it, and sizing for it
+      // avoids a cascade of doublings on every such group's first batch.
+      min_slots_(std::bit_ceil(2 * block_capacity)),
+      slots_(min_slots_) {
   assert(block_capacity > 0);
-  // Pre-size the per-key index for one block's worth of distinct keys: the
-  // common case (a freshly split / freshly created mini-partition) fills at
-  // least a head block before tuning reshapes it, and reserving here avoids
-  // the rehash cascade on every such group's first batch.
-  index_.reserve(block_capacity);
 }
 
 Block& MiniPartition::HeadBlock() {
@@ -46,28 +49,110 @@ std::size_t MiniPartition::FreshCount() const {
 void MiniPartition::Seal() {
   if (blocks_.empty()) return;
   Block& head = blocks_.back();
-  for (const Rec& rec : head.FreshRecords()) {
-    IndexRecord(rec);
+  const std::span<const Rec> fresh = head.FreshRecords();
+  // Index the batch in stages -- home slots, then queues, then queue tails
+  // -- prefetching each stage's loads a whole batch ahead, instead of one
+  // chain of dependent cache misses per record.
+  for (const Rec& rec : fresh) __builtin_prefetch(&slots_[HomeSlot(rec.key)]);
+  seal_queues_.clear();
+  for (const Rec& rec : fresh) {
+    const std::uint32_t q = QueueFor(rec.key);
+    seal_queues_.push_back(q);
+    __builtin_prefetch(&queues_[q]);
+  }
+  for (std::uint32_t q : seal_queues_) {
+    const KeyQueue& kq = queues_[q];
+    __builtin_prefetch(kq.ts.data() + kq.ts.size(), /*rw=*/1);
+  }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    AppendTs(queues_[seal_queues_[i]], fresh[i].ts);
   }
   sealed_count_ += head.FreshCount();
   head.MarkJoined();
 }
 
-void MiniPartition::IndexRecord(const Rec& rec) {
-  KeyQueue& q = index_[rec.key];
-  assert(q.ts.empty() || q.ts.back() <= rec.ts);
-  q.ts.push_back(rec.ts);
+void MiniPartition::AppendTs(KeyQueue& q, Time ts) {
+  assert(q.ts.size() == q.head || q.ts.back() <= ts);
+  q.ts.push_back(ts);
+}
+
+std::uint32_t MiniPartition::QueueFor(std::uint64_t key) {
+  std::size_t mask = slots_.size() - 1;
+  std::size_t i = HomeSlot(key);
+  while (slots_[i].queue != kNoQueue && slots_[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  if (slots_[i].queue != kNoQueue) return slots_[i].queue;
+  // New key. Keep the table at most half full so probe runs stay short.
+  if ((live_keys_ + 1) * 2 > slots_.size()) {
+    ResizeTable(slots_.size() * 2);
+    mask = slots_.size() - 1;
+    i = HomeSlot(key);
+    while (slots_[i].queue != kNoQueue) i = (i + 1) & mask;
+  }
+  std::uint32_t q;
+  if (!free_queues_.empty()) {
+    q = free_queues_.back();
+    free_queues_.pop_back();
+  } else {
+    q = static_cast<std::uint32_t>(queues_.size());
+    queues_.emplace_back();
+  }
+  slots_[i] = Slot{key, q};
+  ++live_keys_;
+  return q;
+}
+
+std::size_t MiniPartition::FindSlot(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = HomeSlot(key);; i = (i + 1) & mask) {
+    if (slots_[i].queue == kNoQueue) return slots_.size();
+    if (slots_[i].key == key) return i;
+  }
+}
+
+void MiniPartition::EraseSlot(std::size_t i) {
+  // Backward-shift deletion: walk the probe run after the hole and move back
+  // every entry whose home slot does not lie cyclically in (hole, entry], so
+  // that every remaining key is still reachable from its home slot without
+  // tombstones.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j].queue != kNoQueue;
+       j = (j + 1) & mask) {
+    const std::size_t home = HomeSlot(slots_[j].key);
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+}
+
+void MiniPartition::ResizeTable(std::size_t slot_count) {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slot_count));
+  const std::size_t mask = slot_count - 1;
+  for (const Slot& s : old) {
+    if (s.queue == kNoQueue) continue;
+    std::size_t i = HomeSlot(s.key);
+    while (slots_[i].queue != kNoQueue) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 std::span<const Time> MiniPartition::ProbeSealed(std::uint64_t key,
                                                  Time min_ts,
                                                  Time max_ts) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return {};
-  const KeyQueue& q = it->second;
+  const std::size_t slot = FindSlot(key);
+  if (slot == slots_.size()) return {};
+  const KeyQueue& q = queues_[slots_[slot].queue];
+  // Most probes match the key's whole live range (sealed records are older
+  // than the probe and mostly inside its window): test both ends before
+  // binary-searching a long queue.
   auto begin = q.ts.begin() + static_cast<std::ptrdiff_t>(q.head);
-  auto lo = std::lower_bound(begin, q.ts.end(), min_ts);
-  auto hi = std::upper_bound(lo, q.ts.end(), max_ts);
+  auto lo = *begin >= min_ts ? begin
+                             : std::lower_bound(begin, q.ts.end(), min_ts);
+  auto hi = q.ts.back() <= max_ts ? q.ts.end()
+                                  : std::upper_bound(lo, q.ts.end(), max_ts);
   auto n = static_cast<std::size_t>(hi - lo);
   if (n == 0) return {};
   return std::span<const Time>(&*lo, n);
@@ -80,13 +165,24 @@ std::vector<Block> MiniPartition::ExpireBlocks(Time low_ts) {
   while (blocks_.size() > 1 && blocks_.front().MaxTs() < low_ts) {
     Block& b = blocks_.front();
     for (const Rec& rec : b.Records()) {
-      auto it = index_.find(rec.key);
-      assert(it != index_.end());
-      KeyQueue& q = it->second;
+      const std::size_t slot = FindSlot(rec.key);
+      assert(slot != slots_.size());
+      const std::uint32_t qi = slots_[slot].queue;
+      KeyQueue& q = queues_[qi];
       assert(q.head < q.ts.size() && q.ts[q.head] == rec.ts);
       ++q.head;
       if (q.head == q.ts.size()) {
-        index_.erase(it);
+        // The key is dead: pool its queue and empty its slot. A queue that
+        // grew long for a hot key gives its buffer back rather than pin it
+        // in the pool.
+        q.ts.clear();
+        q.head = 0;
+        if (q.ts.capacity() > kPooledQueueCapacity) {
+          std::vector<Time>().swap(q.ts);
+        }
+        free_queues_.push_back(qi);
+        EraseSlot(slot);
+        --live_keys_;
       } else if (q.head > 64 && q.head * 2 > q.ts.size()) {
         // Compact the dead prefix once it dominates the vector.
         q.ts.erase(q.ts.begin(), q.ts.begin() + static_cast<std::ptrdiff_t>(q.head));
@@ -103,17 +199,24 @@ std::vector<Block> MiniPartition::ExpireBlocks(Time low_ts) {
 }
 
 void MiniPartition::MaybeShrinkIndex() {
-  // Dead keys are erased eagerly above, but the hash table keeps its bucket
-  // array: after a burst expires, a partition can hold a huge empty table
-  // forever. Rehash down once live keys occupy < 1/8 of the buckets (with a
-  // floor so steady-state partitions never churn). libstdc++'s rehash(n)
-  // shrinks to the smallest prime bucket count satisfying n and the load
-  // factor; node pointers are stable, so outstanding ProbeSealed spans
-  // (which point into KeyQueue vectors) stay valid.
-  const std::size_t buckets = index_.bucket_count();
-  if (buckets > 1024 && index_.size() * 8 < buckets) {
-    index_.rehash(std::max(block_capacity_, index_.size() * 2));
+  // Dead keys are erased eagerly above, but the table keeps its slots and
+  // the pool its queues: after a burst expires, a partition could hold a
+  // huge empty table forever. Shrink once live keys occupy < 1/8 of the
+  // slots (with a floor so steady-state partitions never churn), down to a
+  // quarter-full table, and release every pooled queue beyond the live
+  // keys. Live queues are moved, not copied, so their buffers -- and any
+  // outstanding ProbeSealed span -- stay where they are.
+  if (slots_.size() <= 1024 || live_keys_ * 8 >= slots_.size()) return;
+  ResizeTable(std::max(min_slots_, std::bit_ceil(live_keys_ * 4)));
+  std::vector<KeyQueue> pooled = std::exchange(queues_, {});
+  queues_.reserve(live_keys_);
+  for (Slot& s : slots_) {
+    if (s.queue == kNoQueue) continue;
+    queues_.push_back(std::move(pooled[s.queue]));
+    s.queue = static_cast<std::uint32_t>(queues_.size() - 1);
   }
+  free_queues_.clear();
+  free_queues_.shrink_to_fit();
 }
 
 void MiniPartition::InstallSealed(const Rec& rec) {
@@ -121,7 +224,7 @@ void MiniPartition::InstallSealed(const Rec& rec) {
   Block& head = HeadBlock();
   head.Append(rec);
   head.MarkJoined();
-  IndexRecord(rec);
+  AppendTs(queues_[QueueFor(rec.key)], rec.ts);
   ++sealed_count_;
   ++total_count_;
   max_seen_ts_ = rec.ts;

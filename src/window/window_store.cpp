@@ -5,55 +5,51 @@
 namespace sjoin {
 
 PartitionGroup& WindowStore::Ensure(PartitionId pid) {
+  if (pid >= groups_.size()) groups_.resize(pid + std::size_t{1});
   auto& slot = groups_[pid];
   if (!slot) {
     slot = std::make_unique<PartitionGroup>(cfg_, tuple_bytes_);
     slot->AttachCounters(obs_splits_, obs_merges_);
+    ++group_count_;
   }
   return *slot;
 }
 
-PartitionGroup* WindowStore::Find(PartitionId pid) {
-  auto it = groups_.find(pid);
-  return it == groups_.end() ? nullptr : it->second.get();
-}
-
-const PartitionGroup* WindowStore::Find(PartitionId pid) const {
-  auto it = groups_.find(pid);
-  return it == groups_.end() ? nullptr : it->second.get();
-}
-
 std::unique_ptr<PartitionGroup> WindowStore::Take(PartitionId pid) {
-  auto it = groups_.find(pid);
-  assert(it != groups_.end());
-  auto group = std::move(it->second);
-  groups_.erase(it);
-  return group;
+  assert(Find(pid) != nullptr);
+  --group_count_;
+  return std::move(groups_[pid]);
 }
 
 void WindowStore::Install(PartitionId pid,
                           std::unique_ptr<PartitionGroup> group) {
-  assert(groups_.find(pid) == groups_.end());
+  assert(Find(pid) == nullptr);
+  if (pid >= groups_.size()) groups_.resize(pid + std::size_t{1});
   group->AttachCounters(obs_splits_, obs_merges_);
   groups_[pid] = std::move(group);
+  ++group_count_;
 }
 
 void WindowStore::SetGroupCounters(obs::Counter* splits, obs::Counter* merges) {
   obs_splits_ = splits;
   obs_merges_ = merges;
-  for (auto& [pid, group] : groups_) group->AttachCounters(splits, merges);
+  ForEachGroup([&](PartitionId, PartitionGroup& group) {
+    group.AttachCounters(splits, merges);
+  });
 }
 
 std::vector<PartitionId> WindowStore::OwnedPartitions() const {
   std::vector<PartitionId> out;
-  out.reserve(groups_.size());
-  for (const auto& [pid, _] : groups_) out.push_back(pid);
+  out.reserve(group_count_);
+  ForEachGroup([&](PartitionId pid, const PartitionGroup&) { out.push_back(pid); });
   return out;
 }
 
 std::size_t WindowStore::TotalCount() const {
   std::size_t n = 0;
-  for (const auto& [_, group] : groups_) n += group->TotalCount();
+  ForEachGroup([&](PartitionId, const PartitionGroup& group) {
+    n += group.TotalCount();
+  });
   return n;
 }
 

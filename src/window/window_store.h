@@ -1,8 +1,13 @@
 // WindowStore: the set of partition-groups a slave currently owns.
+//
+// Groups are held in a vector indexed by partition id (pids are dense and
+// below JoinConfig::num_partitions): Ensure runs per tuple on the join thread
+// and Find per tuple in every worker, so both are one bounds check and one
+// load. Iteration visits owned groups in ascending pid order, which the
+// partial-flush order and the deterministic emission merge depend on.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,14 +23,18 @@ using PartitionId = std::uint32_t;
 class WindowStore {
  public:
   WindowStore(const JoinConfig& cfg, std::size_t tuple_bytes)
-      : cfg_(cfg), tuple_bytes_(tuple_bytes) {}
+      : cfg_(cfg), tuple_bytes_(tuple_bytes), groups_(cfg.num_partitions) {}
 
   /// The group for `pid`, created empty on first use.
   PartitionGroup& Ensure(PartitionId pid);
 
-  /// Null if the slave does not own `pid`.
-  PartitionGroup* Find(PartitionId pid);
-  const PartitionGroup* Find(PartitionId pid) const;
+  /// Null if the slave does not own `pid` (or `pid` is out of range).
+  PartitionGroup* Find(PartitionId pid) {
+    return pid < groups_.size() ? groups_[pid].get() : nullptr;
+  }
+  const PartitionGroup* Find(PartitionId pid) const {
+    return pid < groups_.size() ? groups_[pid].get() : nullptr;
+  }
 
   /// Removes and returns the group (migration: supplier side).
   std::unique_ptr<PartitionGroup> Take(PartitionId pid);
@@ -38,7 +47,7 @@ class WindowStore {
   /// Install -- see PartitionGroup::AttachCounters.
   void SetGroupCounters(obs::Counter* splits, obs::Counter* merges);
 
-  std::size_t GroupCount() const { return groups_.size(); }
+  std::size_t GroupCount() const { return group_count_; }
   std::vector<PartitionId> OwnedPartitions() const;
 
   /// Total records / bytes of window state across all owned groups (the
@@ -46,21 +55,28 @@ class WindowStore {
   std::size_t TotalCount() const;
   std::size_t TotalBytes() const { return TotalCount() * tuple_bytes_; }
 
+  /// Visits owned groups in ascending pid order.
   template <class F>
   void ForEachGroup(F f) {
-    for (auto& [pid, group] : groups_) f(pid, *group);
+    for (std::size_t pid = 0; pid < groups_.size(); ++pid) {
+      if (groups_[pid]) f(static_cast<PartitionId>(pid), *groups_[pid]);
+    }
   }
   template <class F>
   void ForEachGroup(F f) const {
-    for (const auto& [pid, group] : groups_) {
-      f(pid, static_cast<const PartitionGroup&>(*group));
+    for (std::size_t pid = 0; pid < groups_.size(); ++pid) {
+      if (groups_[pid]) {
+        f(static_cast<PartitionId>(pid),
+          static_cast<const PartitionGroup&>(*groups_[pid]));
+      }
     }
   }
 
  private:
   JoinConfig cfg_;
   std::size_t tuple_bytes_;
-  std::map<PartitionId, std::unique_ptr<PartitionGroup>> groups_;
+  std::vector<std::unique_ptr<PartitionGroup>> groups_;  // indexed by pid
+  std::size_t group_count_ = 0;
   obs::Counter* obs_splits_ = nullptr;
   obs::Counter* obs_merges_ = nullptr;
 };

@@ -172,7 +172,8 @@ TEST(WorkerPoolJoinTest, WorkerCostsAreAccounted) {
   // The summed busy cost across workers is at least the critical path the
   // clock advanced by (equality only if one lane did all the work).
   EXPECT_GT(jm.WorkerBusyUs(), 0u);
-  EXPECT_GE(jm.WorkerBusyUs() + cfg.cost.MergeCost(jm.Outputs()),
+  EXPECT_GE(jm.WorkerBusyUs() +
+                static_cast<std::uint64_t>(cfg.cost.MergeCost(jm.Outputs())),
             static_cast<std::uint64_t>(critical));
 }
 

@@ -100,8 +100,14 @@ TEST(FlightRecorderTest, ConcurrentWritersLoseNothingAndKeepSeqsDistinct) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&fr, w] {
+      // Appended, not `"..." + std::string`: GCC 12's -Wrestrict misfires
+      // on the inlined copies of that chain.
+      std::string who = "w";
+      who += std::to_string(w);
       for (int i = 0; i < kPerWriter; ++i) {
-        fr.Record(Time(i), "w" + std::to_string(w), "n=" + std::to_string(i));
+        std::string what = "n=";
+        what += std::to_string(i);
+        fr.Record(Time(i), who, what);
       }
     });
   }

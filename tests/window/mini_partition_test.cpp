@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace sjoin {
 namespace {
 
@@ -217,6 +224,183 @@ TEST(MiniPartitionTest, IndexBucketsShrinkAfterBurst) {
   (void)p.ExpireBlocks(kFarFuture);
   EXPECT_LE(p.IndexKeyCount(), 4u);  // head block only
   EXPECT_LT(p.IndexBucketCount(), peak / 4);
+}
+
+// The first `n` keys (counting up from `from`) whose home slot in a table of
+// `slots` slots is `slot`.
+std::vector<std::uint64_t> KeysWithHome(std::size_t slot, std::size_t slots,
+                                        std::size_t n,
+                                        std::uint64_t from = 0) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; keys.size() < n; ++k) {
+    if ((MiniPartition::IndexHash(k) & (slots - 1)) == slot) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(MiniPartitionTest, EraseShiftsCollidingRunAcrossTableWrap) {
+  // Block capacity 8 => a 16-slot table that does not grow for five keys.
+  MiniPartition p(8);
+  ASSERT_EQ(p.IndexBucketCount(), 16u);
+  // a, b, c share home slot 14; d's home is 15; e's home is 2. Inserted in
+  // that order they fill slots 14, 15, 0, 1, 2 -- one probe run that wraps.
+  const auto abc = KeysWithHome(14, 16, 3);
+  const std::uint64_t a = abc[0], b = abc[1], c = abc[2];
+  const std::uint64_t d = KeysWithHome(15, 16, 1)[0];
+  const std::uint64_t e = KeysWithHome(2, 16, 1)[0];
+  // Block 1 holds a's only record; b..e continue into block 2.
+  const std::uint64_t block1[] = {a, b, c, d, e, b, c, d};
+  const std::uint64_t block2[] = {b, c, d, e, b, c, d, e};
+  Time t = 1;
+  for (std::uint64_t k : block1) p.Insert(R(t++, k));
+  p.Seal();
+  for (std::uint64_t k : block2) p.Insert(R(t++, k));
+  p.Seal();
+  p.Insert(R(t++, e));  // head block
+  p.Seal();
+  ASSERT_EQ(p.IndexKeyCount(), 5u);
+
+  // Expiring block 1 kills a (slot 14): b, c and d must shift back one slot
+  // each, while e stays in its home slot 2.
+  ASSERT_EQ(p.ExpireBlocks(9).size(), 1u);
+  EXPECT_EQ(p.IndexKeyCount(), 4u);
+  EXPECT_TRUE(p.ProbeSealed(a, 0, kFarFuture).empty());
+  EXPECT_EQ(p.ProbeSealed(b, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(c, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(d, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(e, 0, kFarFuture).size(), 3u);
+
+  // Expiring block 2 kills b, c and d in turn; e must stay reachable.
+  ASSERT_EQ(p.ExpireBlocks(17).size(), 1u);
+  EXPECT_EQ(p.IndexKeyCount(), 1u);
+  for (std::uint64_t k : {a, b, c, d}) {
+    EXPECT_TRUE(p.ProbeSealed(k, 0, kFarFuture).empty());
+  }
+  EXPECT_EQ(p.ProbeSealed(e, 0, kFarFuture).size(), 1u);
+}
+
+TEST(MiniPartitionTest, DifferentialAgainstNaiveModel) {
+  // Random Insert / Seal / InstallSealed / ExpireBlocks / ProbeSealed runs
+  // checked against a naive per-key model. Half the key universe shares the
+  // low 10 bits of IndexHash, so those keys collide at every table size up
+  // to 1024 slots and their erases shift probe runs; one hot key pushes its
+  // queue through the dead-prefix compaction.
+  std::vector<std::uint64_t> keys = KeysWithHome(5, 1024, 24);
+  Pcg32 pick(7, 3);
+  for (int i = 0; i < 24; ++i) keys.push_back(pick.NextU64());
+  const std::uint64_t hot = keys[0];
+  const std::uint64_t absent = KeysWithHome(5, 1024, 1, keys[23] + 1)[0];
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Pcg32 rng(seed, 11);
+    const std::size_t cap = 1 + rng.NextBounded(6);
+    MiniPartition p(cap);
+    std::map<std::uint64_t, std::deque<Time>> sealed;  // the model
+    std::vector<Rec> fresh;
+    Time now = 1;
+
+    auto check_probe = [&](std::uint64_t key, Time lo, Time hi) {
+      std::vector<Time> want;
+      if (auto it = sealed.find(key); it != sealed.end()) {
+        for (Time ts : it->second) {
+          if (ts >= lo && ts <= hi) want.push_back(ts);
+        }
+      }
+      auto got = p.ProbeSealed(key, lo, hi);
+      ASSERT_EQ(std::vector<Time>(got.begin(), got.end()), want)
+          << "key " << key << " [" << lo << ", " << hi << "]";
+    };
+
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint32_t op = rng.NextBounded(100);
+      if (op < 55) {
+        now += rng.NextBounded(3);  // ties allowed
+        const std::uint64_t key =
+            rng.NextBounded(3) == 0 ? hot : keys[rng.NextBounded(48)];
+        p.Insert(R(now, key));
+        fresh.push_back(R(now, key));
+        if (p.HeadFull()) {
+          p.Seal();
+          for (const Rec& r : fresh) sealed[r.key].push_back(r.ts);
+          fresh.clear();
+        }
+      } else if (op < 62) {
+        p.Seal();
+        for (const Rec& r : fresh) sealed[r.key].push_back(r.ts);
+        fresh.clear();
+      } else if (op < 66 && fresh.empty()) {
+        // Migration install: only ever onto state with nothing fresh.
+        now += rng.NextBounded(3);
+        const std::uint64_t key = keys[rng.NextBounded(48)];
+        p.InstallSealed(R(now, key));
+        sealed[key].push_back(now);
+      } else if (op < 78) {
+        const Time low = now - static_cast<Time>(rng.NextBounded(400));
+        for (const Block& b : p.ExpireBlocks(low)) {
+          ASSERT_LT(b.MaxTs(), low);
+          for (const Rec& r : b.Records()) {
+            auto it = sealed.find(r.key);
+            ASSERT_NE(it, sealed.end());
+            ASSERT_EQ(it->second.front(), r.ts);
+            it->second.pop_front();
+            if (it->second.empty()) sealed.erase(it);
+          }
+        }
+      } else {
+        const std::uint64_t key =
+            rng.NextBounded(10) == 0 ? absent : keys[rng.NextBounded(48)];
+        const Time lo = now - static_cast<Time>(rng.NextBounded(300));
+        const Time hi = lo + static_cast<Time>(rng.NextBounded(300));
+        check_probe(key, lo, hi);
+      }
+      ASSERT_EQ(p.IndexKeyCount(), sealed.size());
+      ASSERT_LE(p.IndexKeyCount() * 2, p.IndexBucketCount());
+      if (step % 500 == 0) {
+        for (std::uint64_t k : keys) check_probe(k, 0, kFarFuture);
+      }
+    }
+    for (std::uint64_t k : keys) check_probe(k, 0, kFarFuture);
+    check_probe(absent, 0, kFarFuture);
+  }
+}
+
+TEST(MiniPartitionTest, BurstThenDrainReleasesTableAndPool) {
+  // Steady traffic on a few keys, a burst of 20000 distinct keys, then the
+  // steady traffic again until the burst has expired: the key table and the
+  // pool of queues must both come back down, not stay at the burst's size.
+  MiniPartition p(4);
+  Time t = 1;
+  auto steady = [&](int n) {
+    for (int i = 0; i < n; ++i, ++t) {
+      p.Insert(R(t, static_cast<std::uint64_t>(t % 8)));
+      if (p.HeadFull()) p.Seal();
+      (void)p.ExpireBlocks(t - 100);
+    }
+  };
+  steady(1000);
+  const std::size_t steady_slots = p.IndexBucketCount();
+  EXPECT_LE(p.IndexQueueCount(), 16u);
+
+  for (int i = 0; i < 20000; ++i, ++t) {
+    p.Insert(R(t, 1'000'000 + static_cast<std::uint64_t>(i)));
+    if (p.HeadFull()) p.Seal();
+  }
+  EXPECT_GE(p.IndexQueueCount(), 19000u);
+  EXPECT_GE(p.IndexBucketCount(), 32768u);
+
+  steady(1000);
+  EXPECT_LE(p.IndexKeyCount(), 8u + 4u);
+  // The shrink rule stops at its 1024-slot floor; the pool was cut to the
+  // live keys at the last shrink, which fires below 1/8 of 2048 slots.
+  EXPECT_LE(p.IndexBucketCount(), 1024u);
+  EXPECT_LE(p.IndexQueueCount(), 256u);
+  // A steady run afterwards does not grow either back.
+  const std::size_t drained_queues = p.IndexQueueCount();
+  steady(5000);
+  EXPECT_LE(p.IndexBucketCount(), 1024u);
+  EXPECT_LE(p.IndexQueueCount(), drained_queues);
+  EXPECT_LE(steady_slots, 1024u);
 }
 
 }  // namespace

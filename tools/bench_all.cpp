@@ -110,8 +110,15 @@ int main(int argc, char** argv) {
     // The bench writes its own report; the env var points it at work-dir.
     // setenv + std::system keeps the child's environment inherited.
     ::setenv("SJOIN_BENCH_JSON_DIR", work_dir.string().c_str(), 1);
-    std::string cmd = "'" + bin.string() + "' > '" + log.string() +
-                      "' 2>&1";
+    // Built by appending: GCC 12's -Wrestrict misfires on the inlined
+    // copies of a `"..." + std::string` chain.
+    std::string cmd;
+    cmd.reserve(bin.string().size() + log.string().size() + 16);
+    cmd += '\'';
+    cmd += bin.string();
+    cmd += "' > '";
+    cmd += log.string();
+    cmd += "' 2>&1";
     std::printf("bench_all: running %s ...\n", id.c_str());
     std::fflush(stdout);
     const int rc = std::system(cmd.c_str());
