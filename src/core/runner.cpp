@@ -1378,6 +1378,12 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
     cv.notify_one();
   };
 
+  // A pid from the wire is checked before it reaches the window store, as
+  // the master checks acks: commands naming a pid outside the partition
+  // space are dropped (no sender of this protocol builds one).
+  const std::uint32_t npart = cfg.join.num_partitions;
+  auto pid_ok = [npart](std::uint32_t pid) { return pid < npart; };
+
   // --- comm module -----------------------------------------------------
   std::thread comm([&] {
     SetLogRank(static_cast<std::int32_t>(self));
@@ -1424,36 +1430,50 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
         case MsgType::kMoveCmd: {
           Reader r(msg->payload);
           MoveCmdMsg mc = DecodeMoveCmd(r);
+          if (!pid_ok(mc.partition_id)) break;
           push(ExtractWork{mc.partition_id, mc.peer, mc.move_seq});
           break;
         }
         case MsgType::kInstallCmd: {
           Reader r(msg->payload);
           MoveCmdMsg mc = DecodeMoveCmd(r);
+          if (!pid_ok(mc.partition_id)) break;
           push(ExpectWork{mc.partition_id, mc.peer, mc.move_seq});
           break;
         }
         case MsgType::kStateTransfer: {
           Reader r(msg->payload);
           obs::ScopedTimer wall(&wall_decode);
-          push(InstallWork{DecodeStateTransfer(r, tb)});
+          StateTransferMsg st = DecodeStateTransfer(r, tb);
+          if (!pid_ok(st.partition_id)) break;
+          push(InstallWork{std::move(st)});
           break;
         }
         case MsgType::kCkptCmd: {
           Reader r(msg->payload);
-          push(CkptWork{DecodeCkptCmd(r)});
+          CkptCmdMsg cc = DecodeCkptCmd(r);
+          std::erase_if(cc.entries, [&](const CkptCmdMsg::Entry& e) {
+            return !pid_ok(e.partition_id);
+          });
+          push(CkptWork{std::move(cc)});
           break;
         }
         case MsgType::kCheckpoint: {
           Reader r(msg->payload);
           const std::uint64_t bytes = msg->payload.size();
           obs::ScopedTimer wall(&wall_decode);
-          push(CkptApplyWork{DecodeCheckpoint(r, tb), bytes});
+          CheckpointMsg cm = DecodeCheckpoint(r, tb);
+          if (!pid_ok(cm.partition_id)) break;
+          push(CkptApplyWork{std::move(cm), bytes});
           break;
         }
         case MsgType::kFailoverCmd: {
           Reader r(msg->payload);
-          push(FailoverWork{DecodeFailoverCmd(r)});
+          FailoverCmdMsg fc = DecodeFailoverCmd(r);
+          std::erase_if(fc.entries, [&](const FailoverCmdMsg::Entry& e) {
+            return !pid_ok(e.partition_id);
+          });
+          push(FailoverWork{std::move(fc)});
           break;
         }
         case MsgType::kReplayBatch: {

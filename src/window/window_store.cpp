@@ -1,11 +1,23 @@
 #include "window/window_store.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace sjoin {
 
+namespace {
+
+[[noreturn]] void ThrowOutOfRange(PartitionId pid, std::size_t num_partitions) {
+  throw std::out_of_range("WindowStore: pid " + std::to_string(pid) +
+                          " >= num_partitions " +
+                          std::to_string(num_partitions));
+}
+
+}  // namespace
+
 PartitionGroup& WindowStore::Ensure(PartitionId pid) {
-  if (pid >= groups_.size()) groups_.resize(pid + std::size_t{1});
+  if (pid >= groups_.size()) ThrowOutOfRange(pid, groups_.size());
   auto& slot = groups_[pid];
   if (!slot) {
     slot = std::make_unique<PartitionGroup>(cfg_, tuple_bytes_);
@@ -23,8 +35,8 @@ std::unique_ptr<PartitionGroup> WindowStore::Take(PartitionId pid) {
 
 void WindowStore::Install(PartitionId pid,
                           std::unique_ptr<PartitionGroup> group) {
+  if (pid >= groups_.size()) ThrowOutOfRange(pid, groups_.size());
   assert(Find(pid) == nullptr);
-  if (pid >= groups_.size()) groups_.resize(pid + std::size_t{1});
   group->AttachCounters(obs_splits_, obs_merges_);
   groups_[pid] = std::move(group);
   ++group_count_;

@@ -25,7 +25,8 @@ class WindowStore {
   WindowStore(const JoinConfig& cfg, std::size_t tuple_bytes)
       : cfg_(cfg), tuple_bytes_(tuple_bytes), groups_(cfg.num_partitions) {}
 
-  /// The group for `pid`, created empty on first use.
+  /// The group for `pid`, created empty on first use. Throws
+  /// std::out_of_range if `pid >= num_partitions`.
   PartitionGroup& Ensure(PartitionId pid);
 
   /// Null if the slave does not own `pid` (or `pid` is out of range).
@@ -39,7 +40,8 @@ class WindowStore {
   /// Removes and returns the group (migration: supplier side).
   std::unique_ptr<PartitionGroup> Take(PartitionId pid);
 
-  /// Installs a migrated group (migration: consumer side).
+  /// Installs a migrated group (migration: consumer side). Throws
+  /// std::out_of_range if `pid >= num_partitions`.
   void Install(PartitionId pid, std::unique_ptr<PartitionGroup> group);
 
   /// Node-level split/merge counters (nullptr ok), applied to every group

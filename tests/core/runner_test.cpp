@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
+#include "net/codec.h"
 #include "net/inproc_transport.h"
 
 namespace sjoin {
@@ -34,7 +36,97 @@ struct ClusterResult {
   CollectorSummary collector;
 };
 
-ClusterResult RunCluster(const SystemConfig& cfg, const WallOptions& opts) {
+/// Wraps the master's endpoint: forwards everything, and just before the
+/// first tuple batch to slave 1 sends that slave one of every command that
+/// names a partition, each naming a pid far outside the partition space.
+class BadPidInjector final : public Transport {
+ public:
+  BadPidInjector(Transport& inner, std::size_t tuple_bytes)
+      : inner_(inner), tuple_bytes_(tuple_bytes) {}
+
+  Rank Self() const override { return inner_.Self(); }
+  void Send(Rank to, Message msg) override {
+    if (to == 1 && msg.type == MsgType::kTupleBatch &&
+        !injected_.exchange(true)) {
+      InjectBadPids();
+    }
+    inner_.Send(to, std::move(msg));
+  }
+  std::optional<Message> Recv() override { return inner_.Recv(); }
+  std::optional<Message> RecvFrom(Rank from) override {
+    return inner_.RecvFrom(from);
+  }
+  RecvResult RecvTimed(Duration timeout_us) override {
+    return inner_.RecvTimed(timeout_us);
+  }
+  RecvResult RecvFromTimed(Rank from, Duration timeout_us) override {
+    return inner_.RecvFromTimed(from, timeout_us);
+  }
+
+ private:
+  static constexpr std::uint32_t kBadPid = 0xFFFFFFF0u;
+  static constexpr std::uint64_t kMoveSeq = 1ull << 40;
+
+  void SendToSlave(MsgType type, Writer&& w) {
+    Message m;
+    m.type = type;
+    m.payload = std::move(w).TakeBuffer();
+    inner_.Send(1, std::move(m));
+  }
+
+  void InjectBadPids() {
+    {
+      Writer w;
+      Encode(w, MoveCmdMsg{kBadPid, 1, kMoveSeq});
+      SendToSlave(MsgType::kMoveCmd, std::move(w));
+    }
+    {
+      Writer w;
+      Encode(w, MoveCmdMsg{kBadPid, 1, kMoveSeq + 1});
+      SendToSlave(MsgType::kInstallCmd, std::move(w));
+    }
+    {
+      StateTransferMsg st;
+      st.partition_id = kBadPid;
+      st.move_seq = kMoveSeq + 1;
+      Writer w;
+      Encode(w, st, tuple_bytes_);
+      SendToSlave(MsgType::kStateTransfer, std::move(w));
+    }
+    {
+      CkptCmdMsg cc;
+      cc.covered_epoch = 1;
+      cc.entries.push_back({kBadPid, 1, true});
+      Writer w;
+      Encode(w, cc);
+      SendToSlave(MsgType::kCkptCmd, std::move(w));
+    }
+    {
+      CheckpointMsg cm;
+      cm.partition_id = kBadPid;
+      cm.to_epoch = 1;
+      cm.full = true;
+      Writer w;
+      Encode(w, cm, tuple_bytes_);
+      SendToSlave(MsgType::kCheckpoint, std::move(w));
+    }
+    {
+      FailoverCmdMsg fc;
+      fc.dead = 1;
+      fc.entries.push_back({kBadPid, 0});
+      Writer w;
+      Encode(w, fc);
+      SendToSlave(MsgType::kFailoverCmd, std::move(w));
+    }
+  }
+
+  Transport& inner_;
+  std::size_t tuple_bytes_;
+  std::atomic<bool> injected_{false};
+};
+
+ClusterResult RunCluster(const SystemConfig& cfg, const WallOptions& opts,
+                         bool inject_bad_pids = false) {
   const Rank ranks = cfg.num_slaves + 2;
   InProcHub hub(ranks);
   ClusterResult result;
@@ -53,7 +145,12 @@ ClusterResult RunCluster(const SystemConfig& cfg, const WallOptions& opts) {
   });
 
   auto ep = hub.Endpoint(0);
-  result.master = RunMasterNode(*ep, cfg, opts);
+  if (inject_bad_pids) {
+    BadPidInjector injector(*ep, cfg.workload.tuple_bytes);
+    result.master = RunMasterNode(injector, cfg, opts);
+  } else {
+    result.master = RunMasterNode(*ep, cfg, opts);
+  }
 
   for (auto& t : threads) t.join();
   collector.join();
@@ -106,6 +203,24 @@ TEST(RunnerTest, SingleSlaveCluster) {
   ClusterResult r = RunCluster(cfg, opts);
   EXPECT_GT(r.collector.outputs, 0u);
   EXPECT_EQ(r.master.migrations, 0u);  // nowhere to move
+}
+
+TEST(RunnerTest, SlaveDropsCommandsWithOutOfRangePids) {
+  // Every pid-carrying command to the slave names a pid >= num_partitions.
+  // The slave must drop them (not size its pid-indexed store to them) and
+  // finish the run exactly as without them.
+  SystemConfig cfg = WallCfg(1);
+  WallOptions opts;
+  opts.run_for = 800 * kUsPerMs;
+  ClusterResult r = RunCluster(cfg, opts, /*inject_bad_pids=*/true);
+  ASSERT_EQ(r.slaves.size(), 1u);
+  EXPECT_GT(r.master.tuples_sent, 0u);
+  EXPECT_EQ(r.slaves[0].tuples_processed, r.master.tuples_sent);
+  EXPECT_GT(r.collector.outputs, 0u);
+  EXPECT_EQ(r.collector.outputs, r.slaves[0].outputs);
+  EXPECT_EQ(r.slaves[0].groups_moved_out, 0u);
+  EXPECT_EQ(r.slaves[0].groups_moved_in, 0u);
+  EXPECT_EQ(r.slaves[0].groups_adopted, 0u);
 }
 
 }  // namespace

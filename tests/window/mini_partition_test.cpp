@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <map>
 #include <vector>
@@ -279,6 +280,29 @@ TEST(MiniPartitionTest, EraseShiftsCollidingRunAcrossTableWrap) {
   EXPECT_EQ(p.ProbeSealed(e, 0, kFarFuture).size(), 1u);
 }
 
+TEST(MiniPartitionTest, SmallBurstDoesNotPinPooledQueues) {
+  // A burst that never grows the table past the shrink rule's 1024-slot
+  // floor must still give its idle queues back once it has expired.
+  MiniPartition p(4);
+  Time t = 1;
+  for (int i = 0; i < 400; ++i, ++t) {
+    p.Insert(R(t, 1'000'000 + static_cast<std::uint64_t>(i)));
+    if (p.HeadFull()) p.Seal();
+  }
+  EXPECT_EQ(p.IndexKeyCount(), 400u);
+  EXPECT_LE(p.IndexBucketCount(), 1024u);
+  for (int i = 0; i < 1000; ++i, ++t) {
+    p.Insert(R(t, static_cast<std::uint64_t>(t % 8)));
+    if (p.HeadFull()) p.Seal();
+    (void)p.ExpireBlocks(t - 100);
+    ASSERT_LE(p.IndexQueueCount(),
+              p.IndexKeyCount() + std::max<std::size_t>(p.IndexKeyCount(), 4))
+        << "after " << i << " steady records";
+  }
+  EXPECT_LE(p.IndexKeyCount(), 8u + 4u);
+  EXPECT_LE(p.IndexQueueCount(), 2 * (8u + 4u));
+}
+
 TEST(MiniPartitionTest, DifferentialAgainstNaiveModel) {
   // Random Insert / Seal / InstallSealed / ExpireBlocks / ProbeSealed runs
   // checked against a naive per-key model. Half the key universe shares the
@@ -356,6 +380,10 @@ TEST(MiniPartitionTest, DifferentialAgainstNaiveModel) {
       }
       ASSERT_EQ(p.IndexKeyCount(), sealed.size());
       ASSERT_LE(p.IndexKeyCount() * 2, p.IndexBucketCount());
+      // Idle pooled queues never outnumber max(live keys, one block).
+      ASSERT_LE(p.IndexQueueCount(),
+                p.IndexKeyCount() +
+                    std::max(p.IndexKeyCount(), std::bit_ceil(2 * cap) / 2));
       if (step % 500 == 0) {
         for (std::uint64_t k : keys) check_probe(k, 0, kFarFuture);
       }
@@ -391,10 +419,10 @@ TEST(MiniPartitionTest, BurstThenDrainReleasesTableAndPool) {
 
   steady(1000);
   EXPECT_LE(p.IndexKeyCount(), 8u + 4u);
-  // The shrink rule stops at its 1024-slot floor; the pool was cut to the
-  // live keys at the last shrink, which fires below 1/8 of 2048 slots.
+  // The shrink rule stops at its 1024-slot floor; idle queues never
+  // outnumber max(live keys, 4) (half the 8-slot table floor).
   EXPECT_LE(p.IndexBucketCount(), 1024u);
-  EXPECT_LE(p.IndexQueueCount(), 256u);
+  EXPECT_LE(p.IndexQueueCount(), 2 * (8u + 4u));
   // A steady run afterwards does not grow either back.
   const std::size_t drained_queues = p.IndexQueueCount();
   steady(5000);

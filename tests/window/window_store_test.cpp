@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace sjoin {
@@ -92,6 +93,22 @@ TEST(WindowStoreTest, FindIsNullForUnownedAndOutOfRangePids) {
   EXPECT_EQ(cstore.Find(0xFFFFFFFFu), nullptr);
   EXPECT_NE(cstore.Find(0), nullptr);
   EXPECT_NE(cstore.Find(4), nullptr);
+}
+
+TEST(WindowStoreTest, EnsureAndInstallRejectOutOfRangePids) {
+  // A pid from the wire is not trusted: it must fail here, not size the
+  // pid-indexed vector to it.
+  WindowStore store(Cfg(), kTupleBytes);
+  EXPECT_THROW(store.Ensure(60), std::out_of_range);
+  EXPECT_THROW(store.Ensure(0xFFFFFFF0u), std::out_of_range);
+  EXPECT_THROW(
+      store.Install(0xFFFFFFF0u,
+                    std::make_unique<PartitionGroup>(Cfg(), kTupleBytes)),
+      std::out_of_range);
+  EXPECT_EQ(store.GroupCount(), 0u);
+  EXPECT_TRUE(store.OwnedPartitions().empty());
+  store.Ensure(59);
+  EXPECT_EQ(store.OwnedPartitions(), std::vector<PartitionId>{59});
 }
 
 }  // namespace
